@@ -5,11 +5,12 @@ evaluation section. The benchmarks use ``pytest-benchmark`` so they can be run
 with ``pytest benchmarks/ --benchmark-only``; alongside the timing numbers,
 every benchmark prints the rows/series the corresponding figure plots
 (write-amplification breakdowns, RAM footprints, recovery times), which is the
-actual reproduction output. EXPERIMENTS.md records the paper-vs-measured
-comparison of these outputs.
+actual reproduction output.
 
-Simulated experiments run on scaled-down devices (see DESIGN.md for why the
-shapes are preserved); analytical experiments use the paper's 2 TB
+Simulated experiments run on scaled-down devices (the
+``simulation_configuration`` docstring gives the ratio argument for why the
+shapes are preserved; whether that premise holds across scales is still
+open, see ROADMAP item 2); analytical experiments use the paper's 2 TB
 configuration exactly.
 """
 

@@ -10,11 +10,11 @@ pages that would soon be invalidated anyway.
 
 from __future__ import annotations
 
-
-from repro.bench.harness import ExperimentConfig, run_experiment
+from repro.api import SimulationSession
 from repro.bench.reporting import print_report
 from repro.flash.config import simulation_configuration
 from repro.ftl.garbage_collector import VictimPolicy
+from repro.workloads import UniformRandomWrites
 
 MEASURED_WRITES = 4000
 
@@ -25,16 +25,21 @@ def ablation_rows():
     rows = []
     for label, policy in (("metadata-aware (GeckoFTL)", VictimPolicy.METADATA_AWARE),
                           ("greedy (conventional)", VictimPolicy.GREEDY)):
-        result = run_experiment(ExperimentConfig(
-            ftl_name="GeckoFTL", device=device, cache_capacity=128,
-            write_operations=MEASURED_WRITES, interval_writes=1000,
-            ftl_kwargs={"victim_policy": policy}))
+        with SimulationSession("GeckoFTL", device=device,
+                               interval_writes=1000,
+                               ftl_kwargs={"cache_capacity": 128,
+                                           "victim_policy": policy}) as session:
+            session.warmup()
+            session.run(UniformRandomWrites(device.logical_pages, seed=42),
+                        MEASURED_WRITES)
+            snapshot = session.snapshot()
+        breakdown = snapshot.wa_breakdown
         rows.append({
             "gc_policy": label,
-            "wa_total": round(result.wa_total, 3),
-            "wa_gc": round(result.wa_breakdown.get("gc", 0.0), 3),
-            "wa_translation": round(result.wa_breakdown.get("translation", 0.0), 3),
-            "wa_validity": round(result.wa_breakdown.get("validity", 0.0), 3),
+            "wa_total": round(snapshot.write_amplification, 3),
+            "wa_gc": round(breakdown.get("gc", 0.0), 3),
+            "wa_translation": round(breakdown.get("translation", 0.0), 3),
+            "wa_validity": round(breakdown.get("validity", 0.0), 3),
         })
     return rows
 

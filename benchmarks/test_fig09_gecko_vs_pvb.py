@@ -166,7 +166,7 @@ def test_fig09_series(benchmark):
     assert all(value < pvb for value in gecko_by_ratio.values())
     # ...by a large margin. (The paper reports ~98% at its 2 TB scale, where
     # the buffer holds ~500 entries; at this scaled-down geometry the buffer
-    # holds ~63, so the reduction lands near ~90% — see EXPERIMENTS.md.)
+    # holds ~63, so the reduction lands near ~90%.)
     assert gecko_by_ratio[2] < 0.15 * pvb
     # ...and T = 2 is the best (or tied-best) tuning, with cost increasing in T.
     assert gecko_by_ratio[2] <= min(gecko_by_ratio.values()) + 1e-9

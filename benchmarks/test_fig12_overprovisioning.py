@@ -9,7 +9,7 @@ mildly across the whole practical range of R.
 
 The figure's grid is declared as a :class:`repro.engine.SweepPlan` — one
 device geometry per over-provisioning ratio — rather than a loop of one-off
-``run_experiment`` calls; the sweep engine owns execution and row layout.
+sessions; the sweep engine owns execution and row layout.
 """
 
 from __future__ import annotations

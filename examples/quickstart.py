@@ -21,8 +21,9 @@ from repro.bench.reporting import format_bytes, format_seconds, print_report
 
 
 def main() -> None:
-    # 1. A scaled-down device: 256 blocks x 32 pages of 512 bytes (see
-    #    DESIGN.md for why scaled-down geometry preserves the paper's shapes).
+    # 1. A scaled-down device: 256 blocks x 32 pages of 512 bytes (the
+    #    simulation_configuration docstring explains why scaled-down
+    #    geometry preserves the paper's shapes).
     #    The session builds the device and puts GeckoFTL on top; the spec
     #    string carries any FTL constructor arguments.
     config = simulation_configuration(num_blocks=256, pages_per_block=32,

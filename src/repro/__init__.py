@@ -25,8 +25,8 @@ The package provides:
 * :mod:`repro.obs` — opt-in observability: a bounded event trace, a
   windowed metrics timeline sampled every N host ops, and sweep progress
   telemetry — all structurally absent when disabled;
-* :mod:`repro.bench` — the experiment harness used by the benchmark suite
-  (now a thin layer over :mod:`repro.api`).
+* :mod:`repro.bench` — the ``repro bench`` performance microbenchmarks
+  and the plain-text report formatting the CLI and benchmarks share.
 
 Quickstart::
 
@@ -114,7 +114,6 @@ from .workloads import (
     WorkloadSpec,
     MixedReadWrite,
     SequentialWrites,
-    TraceWorkload,
     UniformRandomWrites,
     Workload,
     WorkloadRunner,
@@ -180,7 +179,6 @@ __all__ = [
     "TimingModel",
     "TimingSpec",
     "TraceFormatError",
-    "TraceWorkload",
     "UniformRandomWrites",
     "VictimPolicy",
     "Workload",

@@ -10,7 +10,6 @@ share.
 
 from .registry import (
     FTLSpec,
-    RegistryView,
     ftl_names,
     get_ftl_factory,
     register_ftl,
@@ -24,7 +23,6 @@ from .session import (
 
 __all__ = [
     "FTLSpec",
-    "RegistryView",
     "SessionSnapshot",
     "SimulationSession",
     "ftl_names",

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (Any, Callable, ClassVar, Dict, Iterator, List, Mapping,
-                    Optional, Union)
+from typing import Any, Callable, ClassVar, Dict, List, Optional
 
 
 class SpecRegistry:
@@ -138,30 +137,6 @@ def get_ftl_factory(name: str) -> Callable[..., Any]:
 def ftl_names() -> List[str]:
     """Sorted primary names of every registered FTL."""
     return FTL_REGISTRY.names()
-
-
-class RegistryView(Mapping):
-    """Read-only, live dict-like view of the registry.
-
-    Exists so the legacy ``FTL_FACTORIES`` table in :mod:`repro.bench.harness`
-    keeps its dict semantics (``in``, ``[]``, ``sorted(...)``) while new
-    registrations show up automatically.
-    """
-
-    def __getitem__(self, key: str) -> Callable[..., Any]:
-        try:
-            return get_ftl_factory(key)
-        except ValueError:
-            raise KeyError(key) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(ftl_names())
-
-    def __len__(self) -> int:
-        return len(ftl_names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RegistryView({ftl_names()!r})"
 
 
 def _parse_spec_kwargs(arg_text: str, what: str = "FTL",

@@ -1,6 +1,6 @@
 """SimulationSession: the single front door for running FTL experiments.
 
-Every consumer of the library — the benchmark harness, the CLI, the examples
+Every consumer of the library — the benchmark suite, the CLI, the examples
 and ad-hoc scripts — used to hand-wire the same plumbing: build a
 ``FlashDevice``, instantiate an FTL on it, fill the logical space, reset the
 stats, construct a ``WorkloadRunner`` and finally dispatch operations one call

@@ -1,15 +1,5 @@
-"""Experiment harness and reporting used by the benchmark suite."""
+"""Performance microbenchmarks and report formatting."""
 
-from .harness import (
-    FTL_FACTORIES,
-    ExperimentConfig,
-    ExperimentResult,
-    build_ftl,
-    compare_ftls,
-    run_experiment,
-    session_for,
-    write_amplification_breakdown,
-)
 from .perf import (
     BENCH_SCHEMA_VERSION,
     bench_names,
@@ -24,12 +14,7 @@ from .reporting import format_bytes, format_seconds, format_table, print_report
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "FTL_FACTORIES",
-    "ExperimentConfig",
-    "ExperimentResult",
     "bench_names",
-    "build_ftl",
-    "compare_ftls",
     "compare_records",
     "format_bytes",
     "format_seconds",
@@ -38,8 +23,6 @@ __all__ = [
     "print_report",
     "run_benchmark",
     "run_benchmarks",
-    "run_experiment",
-    "session_for",
     "speedup_summary",
     "write_record",
 ]

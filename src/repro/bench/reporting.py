@@ -66,7 +66,7 @@ def format_seconds(seconds: float) -> str:
 
 def print_report(title: str, rows: Iterable[Dict[str, object]],
                  columns: Sequence[str] = None) -> None:
-    """Print a table with a separating banner (used by benchmark harnesses)."""
+    """Print a table with a separating banner (used by the CLI and benchmarks)."""
     banner = "=" * max(20, len(title))
     print(f"\n{banner}\n{title}\n{banner}")
     print(format_table(list(rows), columns))

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .analysis import all_ftl_ram, all_ftl_recovery
 from .api import FTLSpec, SimulationSession, ftl_names
-from .bench.harness import compare_ftls
 from .bench.perf import (bench_names, compare_records, load_records,
                          run_benchmarks)
 from .bench.reporting import format_bytes, format_seconds, print_report
@@ -42,7 +41,8 @@ from .engine.executor import SweepTaskError
 from .flash.config import paper_configuration, simulation_configuration
 from .obs import ObsSpec, SweepProgress, event_names
 from .timing import DEVICE_PRESETS, TimingSpec
-from .workloads import StreamingTraceWorkload, WorkloadSpec, workload_names
+from .workloads import (StreamingTraceWorkload, UniformRandomWrites,
+                        WorkloadSpec, workload_names)
 from .workloads.ingest.formats import (TRACE_FORMATS, TraceFormatError,
                                        _open_trace, get_trace_format,
                                        iter_trace_records)
@@ -123,14 +123,19 @@ def _paper_config_scaled(capacity_gb: float):
 
 def cmd_compare(arguments) -> int:
     device = _device_from_args(arguments)
-    specs = [FTLSpec.of(ftl) for ftl in arguments.ftls]
-    results = compare_ftls(specs, device,
-                           cache_capacity=arguments.cache_entries,
-                           write_operations=arguments.writes,
-                           seed=arguments.seed)
+    rows = []
+    for spec in arguments.ftls:
+        with SimulationSession(
+                spec, device=device,
+                ftl_kwargs={"cache_capacity": arguments.cache_entries}
+        ) as session:
+            session.warmup()
+            session.run(UniformRandomWrites(device.logical_pages,
+                                            seed=arguments.seed),
+                        arguments.writes)
+            rows.append({**session.snapshot().row(), "ftl": str(spec)})
     print_report(
-        f"Write-amplification after {arguments.writes} random updates",
-        [result.row() for result in results])
+        f"Write-amplification after {arguments.writes} random updates", rows)
     return 0
 
 
@@ -350,19 +355,9 @@ def cmd_sweep(arguments) -> int:
         print("--resume needs --store to resume from", file=sys.stderr)
         return 2
     backend_spec = arguments.backend
-    if arguments.workers is not None:
-        if backend_spec is not None:
-            print("--workers is deprecated and cannot be combined with "
-                  "--backend", file=sys.stderr)
-            return 2
-        if arguments.workers < 1:
-            print("--workers must be >= 1", file=sys.stderr)
-            return 2
-        backend_spec = ("serial" if arguments.workers == 1
-                        else f"pool(workers={arguments.workers})")
     if arguments.shard is not None:
         if backend_spec is not None:
-            print("--shard cannot be combined with --backend/--workers",
+            print("--shard cannot be combined with --backend",
                   file=sys.stderr)
             return 2
         index, hosts = arguments.shard
@@ -801,14 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "for --backend 'shard(hosts=N, index=I)'; "
                             "requires --store; merge afterwards with "
                             "--backend 'shard(hosts=N)')")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="deprecated: use --backend 'pool(workers=N)' "
-                            "(1 = serial)")
-    sweep.add_argument("--store", "--sink", dest="store", metavar="FILE",
+    sweep.add_argument("--store", metavar="FILE",
                        help="result store (append; enables --resume): "
                             ".sqlite/.db opens the queryable SQLite store, "
-                            "anything else a JSONL sink; --sink is the "
-                            "deprecated alias")
+                            "anything else a JSONL sink")
     sweep.add_argument("--resume", action="store_true",
                        help="skip tasks whose key is already in the store")
     sweep.add_argument("--group-by", nargs="+", default=["ftl"],

@@ -12,10 +12,10 @@ future distributed backend is one :func:`register_backend` call away.
 Three backends ship:
 
 ``serial``
-    Every task in-process, in plan order (the old ``workers=1`` path).
+    Every task in-process, in plan order.
 ``pool(workers=N)``
-    A ``ProcessPoolExecutor`` fan-out with fail-fast error handling (the old
-    ``workers=N`` path). Rows still come back in plan order.
+    A ``ProcessPoolExecutor`` fan-out with fail-fast error handling. Rows
+    still come back in plan order.
 ``shard(hosts=N, chunk=C, index=I, workers=W)``
     Deterministic key-ranged partitioning for fleet runs. The 64-bit task-key
     space is cut into ``hosts * chunk`` contiguous stripes and stripe ``r``
@@ -116,22 +116,11 @@ class ExecutionBackend(ABC):
         """
 
     @classmethod
-    def of(cls, value: Union["ExecutionBackend", BackendSpec, str, int]
+    def of(cls, value: Union["ExecutionBackend", BackendSpec, str]
            ) -> "ExecutionBackend":
-        """Coerce a backend, spec, spec string, or worker count to a backend.
-
-        An ``int`` is the legacy ``workers=N`` shorthand: ``1`` is
-        ``serial``, anything larger is ``pool(workers=N)``.
-        """
+        """Coerce a backend, spec, or spec string to a backend."""
         if isinstance(value, ExecutionBackend):
             return value
-        if isinstance(value, bool):
-            raise TypeError(f"cannot interpret {value!r} as an execution "
-                            "backend")
-        if isinstance(value, int):
-            if value < 1:
-                raise ValueError("workers must be >= 1")
-            return SerialBackend() if value == 1 else PoolBackend(value)
         return BackendSpec.of(value).build()
 
     @staticmethod
@@ -240,7 +229,7 @@ class ShardBackend(ExecutionBackend):
         self.hosts = hosts
         self.chunk = chunk
         self.index = index
-        self.inner = ExecutionBackend.of(workers)
+        self.inner = SerialBackend() if workers == 1 else PoolBackend(workers)
         # Worker mode persists to its own sub-store; the executor must not
         # also append those rows to the main store (the coordinator merge
         # is what fills the main store, in plan order).

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -116,8 +115,8 @@ def execute_task(task: SweepTask) -> Dict[str, Any]:
 
     This is the worker entry point: module-level (picklable), takes only the
     serializable task, and rebuilds session + workload from specs. It is also
-    called directly by the in-process (``workers=1``) path, so both paths are
-    literally the same code. Tasks carrying a crash plan are routed to
+    called directly by the ``serial`` backend, so both paths are literally
+    the same code. Tasks carrying a crash plan are routed to
     :func:`execute_crash_task` (same contract, richer row).
     """
     from ..api.session import SimulationSession
@@ -247,28 +246,6 @@ class SweepReport:
                 f"rows={len(self.rows)} elapsed_s={self.elapsed_s:.2f}")
 
 
-def _legacy_workers_backend(workers: int) -> Union[str, int]:
-    """Map the deprecated ``workers=N`` argument onto a backend spec."""
-    warnings.warn(
-        "workers= is deprecated; use backend='serial' or "
-        "backend='pool(workers=N)' instead",
-        DeprecationWarning, stacklevel=3)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return "serial" if workers == 1 else f"pool(workers={workers})"
-
-
-def _legacy_sink_store(sink: Any, store: Any) -> Any:
-    """Map the deprecated ``sink=`` argument onto ``store``."""
-    if sink is None:
-        return store
-    warnings.warn("sink= is deprecated; use store=", DeprecationWarning,
-                  stacklevel=3)
-    if store is not None:
-        raise TypeError("pass store= or the deprecated sink=, not both")
-    return sink
-
-
 class SweepExecutor:
     """Runs sweep tasks through an execution backend, with resume support.
 
@@ -277,12 +254,8 @@ class SweepExecutor:
     backend:
         An :class:`~repro.engine.backends.ExecutionBackend` instance, a
         backend spec / spec string (``"serial"``, ``"pool(workers=4)"``,
-        ``"shard(hosts=4, index=1)"``), or a bare worker count (legacy
-        shorthand). The default runs every task in-process.
-    workers:
-        Deprecated spelling of ``backend``: ``workers=1`` maps to
-        ``"serial"``, ``workers=N`` to ``"pool(workers=N)"``. Emits a
-        ``DeprecationWarning``; cannot be combined with ``backend``.
+        ``"shard(hosts=4, index=1)"``). The default runs every task
+        in-process.
     on_task:
         Optional progress callback invoked in the parent process, in plan
         order, after each task's row is available (and persisted, when a
@@ -292,39 +265,25 @@ class SweepExecutor:
     """
 
     def __init__(self,
-                 backend: Union[ExecutionBackend, str, int, None] = None,
+                 backend: Union[ExecutionBackend, str, None] = None,
                  *,
-                 workers: Optional[int] = None,
                  on_task: Optional[ProgressCallback] = None) -> None:
-        if workers is not None:
-            if backend is not None:
-                raise TypeError(
-                    "pass backend= or the deprecated workers=, not both")
-            backend = _legacy_workers_backend(workers)
         self.backend = ExecutionBackend.of(
             backend if backend is not None else "serial")
         self.on_task = on_task
 
-    @property
-    def workers(self) -> int:
-        """Worker-process count of the underlying backend (legacy alias)."""
-        return getattr(self.backend, "workers", 1)
-
     def run(self,
             plan: Union[SweepPlan, Sequence[SweepTask]],
             store: Optional[ResultStore] = None,
-            resume: bool = False,
-            *,
-            sink: Optional[ResultStore] = None) -> SweepReport:
+            resume: bool = False) -> SweepReport:
         """Execute ``plan``; returns a :class:`SweepReport`.
 
         ``store`` is any :class:`~repro.engine.store.ResultStore` (JSONL
-        sink or SQLite store); ``sink`` is its deprecated alias. With
+        sink or SQLite store). With
         ``resume=True`` (requires ``store``), tasks whose key is already
         present in the store are not executed; their persisted row is
         reused in the report so callers always see the full grid.
         """
-        store = _legacy_sink_store(sink, store)
         tasks = plan.tasks() if isinstance(plan, SweepPlan) else list(plan)
         if resume and store is None:
             raise ValueError("resume=True needs a store to resume from")
@@ -374,26 +333,16 @@ class SweepExecutor:
 
 
 def run_sweep(plan: Union[SweepPlan, Sequence[SweepTask]],
-              backend: Union[ExecutionBackend, str, int, None] = None,
+              backend: Union[ExecutionBackend, str, None] = None,
               store: Optional[Union[str, ResultStore]] = None,
               resume: bool = False,
-              on_task: Optional[ProgressCallback] = None,
-              *,
-              workers: Optional[int] = None,
-              sink: Optional[Union[str, ResultStore]] = None) -> SweepReport:
+              on_task: Optional[ProgressCallback] = None) -> SweepReport:
     """One-call convenience wrapper around :class:`SweepExecutor`.
 
     ``store`` may be a :class:`~repro.engine.store.ResultStore` or a path
     (opened — and closed — by this call; the format is chosen by extension,
-    see :func:`~repro.engine.store.open_store`). ``workers=`` and ``sink=``
-    are deprecated aliases for ``backend=`` / ``store=``.
+    see :func:`~repro.engine.store.open_store`).
     """
-    if workers is not None:
-        if backend is not None:
-            raise TypeError(
-                "pass backend= or the deprecated workers=, not both")
-        backend = _legacy_workers_backend(workers)
-    store = _legacy_sink_store(sink, store)
     own_store = isinstance(store, (str, os.PathLike))
     store_obj = open_store(store) if own_store else store
     try:

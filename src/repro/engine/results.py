@@ -8,10 +8,10 @@ and on re-open reports which task keys are already present so the executor
 can resume a partially-completed sweep by running only the missing tasks.
 (The SQLite implementation lives in :mod:`repro.engine.store`.) Rows are
 persisted in *plan order* (that is what makes sink files reproducible across
-worker counts), so with ``workers=1`` a kill loses at most the task in
-flight, while with ``workers=N`` up to ``N-1`` tasks that completed ahead of
-a still-running earlier task may not have been persisted yet and will be
-re-run on resume — resume correctness is unaffected either way.
+worker counts), so with the ``serial`` backend a kill loses at most the task
+in flight, while with ``pool(workers=N)`` up to ``N-1`` tasks that completed
+ahead of a still-running earlier task may not have been persisted yet and will
+be re-run on resume — resume correctness is unaffected either way.
 
 Rows are schema-versioned (``"schema": SCHEMA_VERSION``); :func:`load_results`
 rejects rows from a future schema instead of silently misreading them.
@@ -19,8 +19,8 @@ rejects rows from a future schema instead of silently misreading them.
 Determinism: every field of a row is a pure function of its task, except the
 fields named in :data:`TIMING_FIELDS` (wall-clock timing and worker
 identity). :func:`canonical_row` strips those, which is what the engine's
-determinism guarantee — identical rows for ``workers=1`` and ``workers=N`` —
-is stated over.
+determinism guarantee — identical rows for ``serial`` and
+``pool(workers=N)`` — is stated over.
 
 The aggregation helpers (:func:`aggregate`, :func:`wa_breakdown_table`,
 :func:`latency_table`, :func:`ram_breakdown_table`) accept row iterables,

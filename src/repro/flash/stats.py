@@ -1,7 +1,7 @@
 """IO accounting for the flash simulator.
 
 Every internal flash operation is attributed to a *purpose* so that the
-benchmark harness can reproduce the paper's stacked write-amplification bars
+benchmark suite can reproduce the paper's stacked write-amplification bars
 (Figure 13 bottom, Figure 14): user writes, garbage-collection migrations,
 translation-table synchronization, page-validity metadata, wear-leveling and
 recovery are all counted separately.

@@ -67,6 +67,14 @@ class PageMappedFTL:
                  free_block_threshold: int = 6,
                  gc_reserve_blocks: int = 4,
                  enable_wear_leveling: bool = False) -> None:
+        # The block manager refuses host blocks once free <= reserve, and GC
+        # starts only when free < threshold: a threshold at or below the
+        # reserve reaches a state where the host is refused and GC never runs.
+        if free_block_threshold <= gc_reserve_blocks:
+            raise ValueError(
+                f"free_block_threshold={free_block_threshold} must exceed "
+                f"gc_reserve_blocks={gc_reserve_blocks}; the minimum is "
+                f"{gc_reserve_blocks + 1}")
         self.device = device
         self.config: DeviceConfig = device.config
         self.stats: IOStats = device.stats
@@ -695,7 +703,7 @@ class PageMappedFTL:
         return self.stats.write_amplification(self.config.delta)
 
     def describe(self) -> Dict[str, Any]:
-        """Summary dictionary used by the benchmark harness."""
+        """Summary dictionary used in reports and result rows."""
         return {
             "ftl": self.name,
             "cache_capacity": self.cache.capacity,

@@ -20,8 +20,7 @@ class BlockValidityCounter:
     """Per-block count of valid pages.
 
     The counters live in a flat ``array('q')`` column so that greedy victim
-    selection can argmin over the whole device in one pass (and zero-copy
-    into numpy when the acceleration flag is on).
+    selection can argmin over the whole device in one pass.
     """
 
     def __init__(self, num_blocks: int, pages_per_block: int) -> None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional
 
-from ..accel import get_numpy
 from ..flash.address import PhysicalAddress
 from ..flash.device import FlashDevice
 from ..flash.stats import IOPurpose
@@ -149,11 +148,9 @@ class GarbageCollector:
         block manager's metadata-block set, ascending = lowest id) — and
         only then argmins the maintained BVC column over the user blocks.
         The argmin preserves the historical ascending-scan tie-break
-        exactly: the lowest block id among equal valid counts wins (numpy's
-        ``argmin`` returns the first minimum; the stdlib fallback keeps the
-        strict ``<`` comparison). ``tests/test_victim_selection.py`` locks
-        both the tie-break and full victim sequences against the
-        pre-argmin scan.
+        exactly: the lowest block id among equal valid counts wins.
+        ``tests/test_victim_selection.py`` locks both the tie-break and full
+        victim sequences against the pre-argmin scan.
         """
         block_manager = self.block_manager
         type_codes = block_manager._type_codes
@@ -173,16 +170,6 @@ class GarbageCollector:
                     return block_id
             # Greedy argmin over the user blocks (metadata never competes).
             active_user = block_manager.active_blocks[BlockType.USER]
-            np_mod = get_numpy()
-            if np_mod is not None:
-                codes = np_mod.frombuffer(type_codes, dtype=np_mod.uint8)
-                costs = np_mod.frombuffer(counts, dtype=np_mod.int64)
-                sentinel = np_mod.iinfo(np_mod.int64).max
-                masked = np_mod.where(codes == USER_CODE, costs, sentinel)
-                if active_user is not None:
-                    masked[active_user] = sentinel
-                best_id = int(masked.argmin())
-                return None if masked[best_id] == sentinel else best_id
             # Stdlib argmin without a per-block Python loop: copy the
             # maintained BVC column (a C-level array slice), poke a sentinel
             # into the few non-candidate slots (free blocks, metadata

@@ -11,9 +11,6 @@ The package splits trace handling into three layers:
   byte-offset→LPN windowing and out-of-range policies;
 - :mod:`~repro.workloads.ingest.mixer` — :class:`TenantMix`, deterministic
   interleaving of N tenant streams with per-operation attribution.
-
-The legacy list-backed API lives on (deprecated) in
-:mod:`repro.workloads.trace`.
 """
 
 from .formats import (TRACE_FORMATS, TraceFormat, TraceFormatError,

@@ -120,6 +120,7 @@ class StreamingTraceWorkload(Workload):
         return None  # unknown without a full scan; wrap makes it unbounded
 
 
+# "TraceWorkload" stays an alias so stored plans that name it still resolve.
 @register_workload("Trace", "TraceWorkload", "replay", "StreamingTrace",
                    "stream")
 def _streaming_trace(logical_pages: int, path: str = "",

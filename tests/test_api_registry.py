@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import FTLSpec, ftl_names, get_ftl_factory, register_ftl
-from repro.api.registry import RegistryView, resolve_ftl_name
+from repro.api.registry import resolve_ftl_name
 from repro.core.gecko_ftl import GeckoFTL
 from repro.flash.config import simulation_configuration
 from repro.flash.device import FlashDevice
@@ -57,14 +57,6 @@ class TestRegistry:
     def test_conflicting_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_ftl("DFTL")(MuFTL)
-
-    def test_registry_view_behaves_like_a_dict(self):
-        view = RegistryView()
-        assert set(view) == set(ftl_names())
-        assert len(view) == len(ftl_names())
-        assert view["GeckoFTL"] is GeckoFTL
-        with pytest.raises(KeyError):
-            view["NopeFTL"]
 
 
 class TestFTLSpec:

@@ -11,8 +11,10 @@ from repro import (
     UniformRandomWrites,
     simulation_configuration,
 )
+from repro.api import write_amplification_breakdown
 from repro.core.recovery import RecoveryReport
 from repro.flash.device import FlashDevice
+from repro.flash.stats import IOKind, IOPurpose, IOStats
 
 
 def tiny_config():
@@ -99,6 +101,16 @@ class TestLifecycle:
         session.run(UniformRandomWrites(session.config.logical_pages, seed=2),
                     100)
         assert snapshot.stats.host_writes == 300
+
+    def test_wa_breakdown_sums_to_total(self):
+        stats = IOStats()
+        stats.record_host_write(100)
+        stats.record(IOKind.PAGE_WRITE, IOPurpose.USER, amount=100)
+        stats.record(IOKind.PAGE_WRITE, IOPurpose.VALIDITY, amount=20)
+        stats.record(IOKind.PAGE_READ, IOPurpose.GC, amount=10)
+        breakdown = write_amplification_breakdown(stats, delta=10)
+        assert sum(breakdown.values()) == pytest.approx(
+            stats.write_amplification(10))
 
     def test_submit_and_host_passthrough(self):
         session = SimulationSession("DFTL(cache_capacity=64)",

@@ -43,12 +43,12 @@ class TestCoercion:
         backend = SerialBackend()
         assert ExecutionBackend.of(backend) is backend
 
-    def test_int_is_legacy_worker_count(self):
-        assert isinstance(ExecutionBackend.of(1), SerialBackend)
-        pool = ExecutionBackend.of(5)
-        assert isinstance(pool, PoolBackend) and pool.workers == 5
-        with pytest.raises(ValueError):
-            ExecutionBackend.of(0)
+    def test_int_is_not_a_backend(self):
+        # A worker count is spelled pool(workers=N); there is no int shorthand.
+        with pytest.raises(TypeError):
+            ExecutionBackend.of(5)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExecutionBackend.of("pool(workers=0)")
 
     def test_bool_is_not_a_worker_count(self):
         with pytest.raises(TypeError):

@@ -94,56 +94,6 @@ class TestSweepExecutor:
         assert report.executed == 2
 
 
-class TestLegacyShims:
-    """The deprecated workers=/sink= spellings must keep working, loudly."""
-
-    def test_workers_keyword_warns_and_maps_to_backend(self):
-        with pytest.warns(DeprecationWarning, match="workers="):
-            executor = SweepExecutor(workers=4)
-        assert executor.workers == 4
-        assert str(executor.backend) == "pool(workers=4)"
-        with pytest.warns(DeprecationWarning):
-            assert str(SweepExecutor(workers=1).backend) == "serial"
-
-    def test_rejects_bad_worker_counts(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                SweepExecutor(workers=0)
-        with pytest.raises(ValueError):
-            SweepExecutor(0)
-
-    def test_workers_and_backend_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            SweepExecutor("serial", workers=2)
-
-    def test_int_backend_is_a_worker_count(self):
-        assert str(SweepExecutor(1).backend) == "serial"
-        assert str(SweepExecutor(3).backend) == "pool(workers=3)"
-
-    def test_sink_keyword_warns_and_persists(self, tmp_path):
-        plan = tiny_plan(ftls=["GeckoFTL"], seeds=[1])
-        sink = ResultSink(tmp_path / "legacy.jsonl")
-        with pytest.warns(DeprecationWarning, match="sink="):
-            report = SweepExecutor().run(plan, sink=sink)
-        sink.close()
-        assert report.executed == 1
-        assert len(sink.rows()) == 1
-
-    def test_sink_and_store_conflict(self, tmp_path):
-        sink = ResultSink(tmp_path / "a.jsonl")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="not both"):
-                SweepExecutor().run(tiny_plan(), store=sink, sink=sink)
-
-    def test_run_sweep_legacy_spellings(self, tmp_path):
-        plan = tiny_plan(ftls=["GeckoFTL"], seeds=[1])
-        path = tmp_path / "legacy.jsonl"
-        with pytest.warns(DeprecationWarning):
-            report = run_sweep(plan, workers=1, sink=str(path))
-        assert report.executed == 1
-        assert path.exists()
-
-
 class TestResume:
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="needs a store"):

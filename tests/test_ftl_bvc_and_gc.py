@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import FTLSpec, ftl_names
 from repro.flash.address import PhysicalAddress
 from repro.flash.config import simulation_configuration
 from repro.flash.device import FlashDevice
@@ -130,6 +131,38 @@ class TestGarbageCollection:
         gc_stats = ftl.stats.breakdown().get("gc", {})
         assert ftl.garbage_collector.collections > 0
         assert gc_stats.get("page_write", 0) >= 0
+
+
+class TestGcKnobValidation:
+    """GC starts when free < threshold; host blocks stop at free <= reserve.
+
+    A threshold at or below the reserve therefore wedges the device (the
+    host is refused and GC never runs), so the constructor rejects it.
+    """
+
+    @staticmethod
+    def build(name, threshold):
+        config = simulation_configuration(num_blocks=64, pages_per_block=8,
+                                          page_size=256)
+        return FTLSpec.of(name).build(FlashDevice(config), cache_capacity=64,
+                                      free_block_threshold=threshold,
+                                      gc_reserve_blocks=4)
+
+    @pytest.mark.parametrize("name", ftl_names())
+    @pytest.mark.parametrize("threshold", [2, 3, 4])
+    def test_threshold_at_or_below_reserve_is_rejected(self, name,
+                                                       threshold):
+        with pytest.raises(ValueError, match="the minimum is 5"):
+            self.build(name, threshold)
+
+    @pytest.mark.parametrize("name", ftl_names())
+    @pytest.mark.parametrize("threshold", [5, 6])
+    def test_threshold_above_reserve_survives_updates(self, name, threshold):
+        ftl = self.build(name, threshold)
+        fill_device(ftl)
+        workload = UniformRandomWrites(ftl.config.logical_pages, seed=11)
+        ftl.submit(workload.operations(2000))
+        assert ftl.garbage_collector.collections > 0
 
 
 class TestWearLeveling:

@@ -1,4 +1,4 @@
-"""Integration tests spanning FTLs, workloads, the harness, and recovery.
+"""Integration tests spanning FTLs, workloads, sessions, and recovery.
 
 These exercise the scenarios the paper's evaluation is built on end to end:
 sustained random-update traffic over a full device with garbage collection,
@@ -7,8 +7,7 @@ head-to-head FTL comparisons, and crash/recover cycles under load.
 
 import random
 
-
-from repro.bench.harness import ExperimentConfig, compare_ftls, run_experiment
+from repro.api import SimulationSession
 from repro.core.gecko_ftl import GeckoFTL
 from repro.core.recovery import GeckoRecovery
 from repro.flash.config import simulation_configuration
@@ -27,6 +26,18 @@ from repro.workloads.generators import (
 def device_config(num_blocks=96):
     return simulation_configuration(num_blocks=num_blocks, pages_per_block=16,
                                     page_size=256)
+
+
+def measure(ftl_name, cache_capacity=128, writes=4000):
+    """Warm up, run ``writes`` uniform updates, and snapshot the session."""
+    config = device_config()
+    with SimulationSession(ftl_name, device=config, interval_writes=1000,
+                           ftl_kwargs={"cache_capacity": cache_capacity}
+                           ) as session:
+        session.warmup()
+        session.run(UniformRandomWrites(config.logical_pages, seed=42),
+                    writes)
+        return session.snapshot()
 
 
 class TestSustainedOperation:
@@ -78,21 +89,14 @@ class TestPaperShapeComparisons:
 
     def test_gecko_validity_wa_is_far_below_flash_pvb(self):
         """Figure 9's core claim, measured through full FTLs."""
-        results = {ftl.config.ftl_name: ftl for ftl in []}
-        measurements = {}
-        for name in ("GeckoFTL", "uFTL"):
-            result = run_experiment(ExperimentConfig(
-                ftl_name=name, device=device_config(), cache_capacity=128,
-                write_operations=4000, interval_writes=1000))
-            measurements[name] = result.wa_breakdown.get("validity", 0.0)
+        measurements = {name: measure(name).wa_breakdown.get("validity", 0.0)
+                        for name in ("GeckoFTL", "uFTL")}
         assert measurements["GeckoFTL"] < 0.5 * measurements["uFTL"]
 
     def test_gecko_total_wa_is_lowest_among_flash_validity_ftls(self):
         """Figure 13 (bottom): GeckoFTL beats µ-FTL and IB-FTL overall."""
-        results = compare_ftls(["GeckoFTL", "uFTL", "IB-FTL"],
-                               device_config(), cache_capacity=128,
-                               write_operations=4000)
-        wa = {r.config.ftl_name: r.wa_total for r in results}
+        wa = {name: measure(name).write_amplification
+              for name in ("GeckoFTL", "uFTL", "IB-FTL")}
         assert wa["GeckoFTL"] < wa["uFTL"]
         assert wa["GeckoFTL"] < wa["IB-FTL"]
 
@@ -112,13 +116,10 @@ class TestPaperShapeComparisons:
 
     def test_bigger_cache_reduces_translation_overhead(self):
         """Figure 14's mechanism: freed RAM -> bigger cache -> fewer syncs."""
-        measurements = {}
-        for label, cache in (("small", 64), ("large", 512)):
-            result = run_experiment(ExperimentConfig(
-                ftl_name="GeckoFTL", device=device_config(),
-                cache_capacity=cache, write_operations=4000,
-                interval_writes=1000))
-            measurements[label] = result.wa_breakdown.get("translation", 0.0)
+        measurements = {
+            label: measure("GeckoFTL", cache).wa_breakdown.get(
+                "translation", 0.0)
+            for label, cache in (("small", 64), ("large", 512))}
         assert measurements["large"] < measurements["small"]
 
 

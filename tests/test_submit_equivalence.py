@@ -10,10 +10,14 @@ import random
 
 import pytest
 
-from repro.bench.harness import build_ftl
+from repro.api import FTLSpec
 from repro.flash.config import simulation_configuration
 from repro.flash.device import FlashDevice
 from repro.workloads.base import Operation, OpKind, WorkloadRunner, fill_device
+
+
+def build(ftl_name, config):
+    return FTLSpec.of(ftl_name).build(FlashDevice(config), cache_capacity=64)
 
 
 def small_config():
@@ -65,12 +69,12 @@ def test_submit_matches_per_op_iostats(ftl_name, batch_size):
     config = small_config()
     operations = mixed_operations(config.logical_pages, 1200, seed=17)
 
-    reference = build_ftl(ftl_name, FlashDevice(config), cache_capacity=64)
+    reference = build(ftl_name, config)
     fill_per_op(reference)
     reference.stats.reset()
     run_per_op(reference, operations)
 
-    batched = build_ftl(ftl_name, FlashDevice(config), cache_capacity=64)
+    batched = build(ftl_name, config)
     fill_device(batched)  # the batched warm-up path
     batched.stats.reset()
     run_batched(batched, operations, batch_size)
@@ -86,9 +90,9 @@ def test_submit_matches_per_op_iostats(ftl_name, batch_size):
 
 def test_batched_warmup_matches_per_op_fill():
     config = small_config()
-    reference = build_ftl("GeckoFTL", FlashDevice(config), cache_capacity=64)
+    reference = build("GeckoFTL", config)
     fill_per_op(reference)
-    batched = build_ftl("GeckoFTL", FlashDevice(config), cache_capacity=64)
+    batched = build("GeckoFTL", config)
     fill_device(batched)
     assert batched.stats.counts == reference.stats.counts
     for logical in (0, config.logical_pages - 1):
@@ -109,7 +113,7 @@ def test_runner_batching_matches_per_op_dispatch():
         def reset(self):
             pass
 
-    reference = build_ftl("DFTL", FlashDevice(config), cache_capacity=64)
+    reference = build("DFTL", config)
     fill_per_op(reference)
     reference.stats.reset()
     ref_stats = reference.stats
@@ -117,7 +121,7 @@ def test_runner_batching_matches_per_op_dispatch():
     run_per_op(reference, operations)
     reference_total = ref_stats.diff(ref_start)
 
-    batched = build_ftl("DFTL", FlashDevice(config), cache_capacity=64)
+    batched = build("DFTL", config)
     fill_device(batched)
     batched.stats.reset()
     runner = WorkloadRunner(batched, interval_writes=100, max_batch_ops=64)
@@ -131,7 +135,7 @@ def test_runner_batching_matches_per_op_dispatch():
 
 def test_submit_returns_batch_accounting():
     config = small_config()
-    ftl = build_ftl("DFTL", FlashDevice(config), cache_capacity=64)
+    ftl = build("DFTL", config)
     fill_device(ftl)
     operations = [Operation(OpKind.WRITE, 1, ("v", 1, 0)),
                   Operation(OpKind.READ, 1),
@@ -149,6 +153,6 @@ def test_submit_returns_batch_accounting():
 
 def test_submit_rejects_out_of_range_writes():
     config = small_config()
-    ftl = build_ftl("DFTL", FlashDevice(config), cache_capacity=64)
+    ftl = build("DFTL", config)
     with pytest.raises(ValueError):
         ftl.submit([Operation(OpKind.WRITE, config.logical_pages, None)])

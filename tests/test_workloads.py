@@ -23,12 +23,10 @@ from repro.workloads.generators import (
 from repro.workloads.ingest import (
     StreamingTraceWorkload,
     TraceFormatError,
+    iter_trace_records,
     parse_trace_line,
     record_trace,
 )
-# The legacy eager-list API: still importable, now a deprecation shim over
-# repro.workloads.ingest (see TestTrace / TestTraceGzipAndErrors).
-from repro.workloads.trace import TraceWorkload, load_trace
 
 
 LOGICAL_PAGES = 1000
@@ -297,36 +295,31 @@ class TestTrace:
         count = record_trace(operations, buffer)
         assert count == 3
         buffer.seek(0)
-        with pytest.warns(DeprecationWarning):
-            loaded = load_trace(buffer)
-        assert [(op.kind, op.logical) for op in loaded] == [
+        loaded = [record for record, _line in iter_trace_records(buffer)]
+        assert [(record.kind, record.offset) for record in loaded] == [
             (OpKind.WRITE, 3), (OpKind.READ, 3), (OpKind.TRIM, 4)]
 
-    def test_trace_workload_replays_in_order(self):
-        operations = [Operation(OpKind.WRITE, i, ("t", i)) for i in range(5)]
-        with pytest.warns(DeprecationWarning):
-            workload = TraceWorkload(operations, logical_pages=10)
+    def test_trace_workload_replays_in_order(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        record_trace([Operation(OpKind.WRITE, i) for i in range(5)], path)
+        workload = StreamingTraceWorkload(path, logical_pages=10)
         replayed = [op.logical for op in workload.operations(10)]
         assert replayed == [0, 1, 2, 3, 4]
 
-    def test_trace_workload_wraps_when_asked(self):
-        operations = [Operation(OpKind.WRITE, i) for i in range(3)]
-        with pytest.warns(DeprecationWarning):
-            workload = TraceWorkload(operations, logical_pages=10, wrap=True)
+    def test_trace_workload_wraps_when_asked(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        record_trace([Operation(OpKind.WRITE, i) for i in range(3)], path)
+        workload = StreamingTraceWorkload(path, logical_pages=10, wrap=True)
         replayed = [op.logical for op in workload.operations(7)]
         assert replayed == [0, 1, 2, 0, 1, 2, 0]
 
-    def test_trace_workload_rejects_out_of_range_pages(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            TraceWorkload([Operation(OpKind.WRITE, 99)], logical_pages=10)
-
-    def test_file_roundtrip(self, tmp_path):
+    def test_trace_workload_rejects_out_of_range_pages(self, tmp_path):
         path = tmp_path / "trace.txt"
-        operations = [Operation(OpKind.WRITE, i) for i in range(4)]
-        record_trace(operations, path)
-        with pytest.warns(DeprecationWarning):
-            workload = TraceWorkload.from_file(path, logical_pages=10)
-        assert [op.logical for op in workload.operations(4)] == [0, 1, 2, 3]
+        record_trace([Operation(OpKind.WRITE, 1),
+                      Operation(OpKind.WRITE, 99)], path)
+        workload = StreamingTraceWorkload(path, logical_pages=10, oor="error")
+        with pytest.raises(TraceFormatError, match=":2:"):
+            list(workload.operations(2))
 
 
 class TestTraceGzipAndErrors:
@@ -338,23 +331,20 @@ class TestTraceGzipAndErrors:
         record_trace(operations, path)
         # The file really is gzip (magic bytes), not plain text.
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-        with pytest.warns(DeprecationWarning):
-            loaded = load_trace(path)
-        assert [op.logical for op in loaded] == list(range(50))
+        loaded = [record.offset for record, _line in iter_trace_records(path)]
+        assert loaded == list(range(50))
 
     def test_gzip_workload_from_file(self, tmp_path):
         path = tmp_path / "trace.txt.gz"
         record_trace([Operation(OpKind.WRITE, i) for i in range(5)], path)
-        with pytest.warns(DeprecationWarning):
-            workload = TraceWorkload.from_file(path, logical_pages=10)
+        workload = StreamingTraceWorkload(path, logical_pages=10)
         assert [op.logical for op in workload.operations(5)] == [0, 1, 2, 3, 4]
 
     def test_malformed_line_reports_file_and_line_number(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("W 1\n# fine\nW xyz\n")
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TraceFormatError) as excinfo:
-            load_trace(path)
+        with pytest.raises(TraceFormatError) as excinfo:
+            list(iter_trace_records(path))
         assert excinfo.value.line_number == 3
         assert excinfo.value.source == str(path)
         assert f"{path}:3:" in str(excinfo.value)
@@ -364,9 +354,9 @@ class TestTraceGzipAndErrors:
         import gzip
         with gzip.open(path, "wt") as handle:
             handle.write("W 1\nQ 2\n")
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(TraceFormatError, match=":2:"):
-            load_trace(path)
+        with pytest.raises(TraceFormatError, match=":2:"):
+            list(StreamingTraceWorkload(path, logical_pages=10)
+                 .operations(2))
 
     def test_error_is_still_a_value_error(self):
         # Backwards compatibility: existing `except ValueError` keeps working.
